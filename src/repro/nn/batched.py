@@ -46,7 +46,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 import numpy as np
 
 from repro.exceptions import ShapeError
-from repro.nn.functional import avg_pool_backward, im2col, col2im, max_pool_backward
+# No kernel here calls ``col2im`` (strided conv input gradients fold in
+# ``nn.layers.conv_input_gradient``); the name stays bound because the
+# benchmark's traced run (perfbench/probes.py) wraps it in this module.
+from repro.nn.functional import avg_pool_backward, col2im, im2col, max_pool_backward
 from repro.nn.layers import (
     Activation,
     AvgPool2D,
@@ -58,9 +61,10 @@ from repro.nn.layers import (
     GlobalAvgPool2D,
     Layer,
     MaxPool2D,
+    conv_input_gradient,
 )
 from repro.nn.losses import Loss
-from repro.nn.model import Sequential
+from repro.nn.model import Sequential, backward_parameters, first_trainable
 from repro.nn.plane import SlotLayout
 
 
@@ -171,7 +175,11 @@ class BatchedKernel:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Backward pass; kernels with parameters honour ``need_input_grad``
+        like their layers (see :mod:`repro.nn.layers`)."""
         raise NotImplementedError
 
 
@@ -204,12 +212,14 @@ class BatchedDense(BatchedKernel):
             self._cache_act = pre if self.activation.cache_input else out
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         grad_pre = self.activation.gradient(grad_output, self._cache_act)
         np.matmul(self._cache_x.transpose(0, 2, 1), grad_pre, out=self.grad_weight)
         if self.use_bias:
             grad_pre.sum(axis=1, out=self.grad_bias)
-        return np.matmul(grad_pre, self._weight_T)
+        return np.matmul(grad_pre, self._weight_T) if need_input_grad else None
 
 
 class BatchedConv2D(BatchedKernel):
@@ -217,7 +227,9 @@ class BatchedConv2D(BatchedKernel):
 
     The worker axis is folded into the im2col batch (patches are per-sample,
     so folding is exact), then the patch matrix is regrouped per worker and
-    multiplied against the stacked ``(K, fan_in, filters)`` kernels.
+    multiplied against the stacked ``(K, fan_in, filters)`` kernels.  The
+    input gradient folds the same way through the layer's own
+    :func:`~repro.nn.layers.conv_input_gradient`.
     """
 
     def __init__(self, layer: Conv2D, params, grads, buffers) -> None:
@@ -232,7 +244,6 @@ class BatchedConv2D(BatchedKernel):
         self.grad_weight = grads[0]
         self.bias = params[1] if layer.use_bias else None
         self.grad_bias = grads[1] if layer.use_bias else None
-        self._weight_T = self.weight.transpose(0, 2, 1)
         self._bias_row = self.bias[:, None, :] if layer.use_bias else None
         self._cache_columns: Optional[np.ndarray] = None
         self._cache_folded_shape: Optional[Tuple[int, int, int, int]] = None
@@ -259,7 +270,9 @@ class BatchedConv2D(BatchedKernel):
             self._cache_act = pre if self.activation.cache_input else out
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         grad_pre = self.activation.gradient(grad_output, self._cache_act)
         num_workers, batch = grad_pre.shape[0], grad_pre.shape[1]
         out_h, out_w = self._cache_out_hw
@@ -269,11 +282,12 @@ class BatchedConv2D(BatchedKernel):
         )
         if self.use_bias:
             grad_matrix.sum(axis=1, out=self.grad_bias)
-        grad_columns = np.matmul(grad_matrix, self._weight_T)
-        folded = col2im(
-            grad_columns.reshape(num_workers * batch * out_h * out_w, -1),
+        if not need_input_grad:
+            return None
+        folded = conv_input_gradient(
+            grad_pre.reshape((num_workers * batch,) + grad_pre.shape[2:]),
+            self.weight,
             self._cache_folded_shape,
-            self.kernel_size,
             self.kernel_size,
             self.stride,
             self.padding,
@@ -511,12 +525,16 @@ class BatchedBatchNorm(BatchedKernel):
             self._cache = (normalized, inv_std)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         normalized, inv_std = self._cache
         ndim = grad_output.ndim
         axes = tuple(range(1, ndim - 1))
         self.grad_gamma[...] = (grad_output * normalized).sum(axis=axes)
         self.grad_beta[...] = grad_output.sum(axis=axes)
+        if not need_input_grad:
+            return None
         grad_normalized = grad_output * self._expand(self.gamma, ndim)
         mean_grad = grad_normalized.mean(axis=axes)
         mean_grad_normalized = (grad_normalized * normalized).mean(axis=axes)
@@ -609,6 +627,7 @@ class BatchedModel:
                 )
                 self._row_aware.append(kernel)
             self.kernels.append(kernel)
+        self._trainable = self.kernels[first_trainable(reference.layers):]
 
     @property
     def num_workers(self) -> int:
@@ -643,12 +662,14 @@ class BatchedModel:
         """One stacked forward/backward; returns the per-row losses.
 
         Gradients are left in the plane's gradient matrix (and, equivalently,
-        in every covered worker model's gradient views).  ``rows`` names the
-        workers the plane rows hold (``None`` = all workers in order).
+        in every covered worker model's gradient views); like
+        :meth:`Sequential.train_batch` it computes no input gradient.
+        ``rows`` names the workers the plane rows hold (``None`` = all
+        workers in order).
         """
         outputs = self.forward(x, training=True, rows=rows)
         losses, grad = loss.batched_gradient(outputs, y)
-        self.backward(grad)
+        backward_parameters(self._trainable, grad)
         return losses
 
     def __repr__(self) -> str:

@@ -1,9 +1,15 @@
-"""Low-level tensor helpers shared by the convolutional layers.
+"""Low-level tensor helpers shared by the convolutional and pooling layers.
 
-All image tensors use the NHWC layout (batch, height, width, channels).  The
-conv/pool layers are implemented with im2col/col2im so the inner loop is a
-single matrix multiplication, which is the standard way to get acceptable
-convolution speed in pure NumPy.
+All image tensors use the NHWC layout (batch, height, width, channels).
+:func:`im2col` unfolds patches so a convolution's inner loop is a single
+matrix multiplication, the standard way to get acceptable convolution speed
+in pure NumPy.  The conv forward pass, its weight gradient and its stride-1
+input gradient (a correlation of the output gradient with the flipped
+kernel, :func:`repro.nn.layers.conv_input_gradient`) are each one such GEMM.
+:func:`col2im`, the adjoint of :func:`im2col`, folds patch gradients back
+into an image; only strided convolutions use it, and the tests use it as
+the reference for the GEMM form.  The pooling adjoints scatter directly
+(:func:`max_pool_backward`, :func:`avg_pool_backward`).
 """
 
 from __future__ import annotations

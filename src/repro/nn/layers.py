@@ -7,7 +7,10 @@ Every layer follows the same minimal contract:
 * ``forward(x, training)`` computes the output, caching whatever the backward
   pass will need;
 * ``backward(grad_output)`` consumes the upstream gradient, stores parameter
-  gradients internally, and returns the gradient w.r.t. the layer input;
+  gradients internally, and returns the gradient w.r.t. the layer input.
+  Layers with parameters also take ``need_input_grad``: when it is false
+  they may skip the input gradient and return ``None`` (training skips it
+  for the first such layer, whose input gradient nobody reads);
 * ``parameters()`` / ``gradients()`` return matching lists of arrays that the
   model flattens into the single parameter vector the FDA algorithm works on.
 
@@ -70,7 +73,9 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         raise NotImplementedError
 
     # -- parameters ---------------------------------------------------------
@@ -192,7 +197,9 @@ class Dense(Layer):
             self._cache_act = pre if self.activation.cache_input else out
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         self._require_built()
         if self._cache_x is None:
             raise ModelNotBuiltError(
@@ -202,7 +209,7 @@ class Dense(Layer):
         self._grad_weight[...] = self._cache_x.T @ grad_pre
         if self.use_bias:
             self._grad_bias[...] = grad_pre.sum(axis=0)
-        return grad_pre @ self.weight.T
+        return grad_pre @ self.weight.T if need_input_grad else None
 
     def parameters(self) -> List[np.ndarray]:
         self._require_built()
@@ -239,8 +246,46 @@ class Dense(Layer):
         self._cache_act = None
 
 
+def conv_input_gradient(
+    grad_pre: np.ndarray,
+    weight: np.ndarray,
+    input_shape: Tuple[int, int, int, int],
+    kernel_size: int,
+    stride: int,
+    padding: int,
+) -> np.ndarray:
+    """Gradient of a convolution with respect to its NHWC input.
+
+    ``grad_pre`` is the ``(N, out_h, out_w, F)`` gradient of the
+    pre-activation output and ``weight`` the ``(k·k·C, F)`` kernel, or a
+    stacked ``(K, k·k·C, F)`` one whose ``K`` workers are folded worker-major
+    into ``N``.  Returns an ``input_shape`` tensor; the arithmetic stays in
+    the operands' dtype, so float32 inputs give a float32 gradient.
+
+    For stride 1 the gradient is the full correlation of ``grad_pre`` with
+    the spatially flipped kernel: ``im2col(grad_pre, k, k, 1, k-1-p)`` times
+    the kernel reshaped to ``(k, k, C, F)``, flipped in both spatial axes
+    and laid out as ``(k·k·F, C)`` — one GEMM instead of a ``k²``-step
+    strided fold.  Other strides fold the patch gradient with ``col2im``.
+    """
+    lead = weight.shape[:-2]
+    channels, filters = input_shape[3], weight.shape[-1]
+    k = kernel_size
+    if stride != 1:
+        grad_matrix = grad_pre.reshape(lead + (-1, filters))
+        grad_columns = np.matmul(grad_matrix, np.swapaxes(weight, -1, -2))
+        return col2im(
+            grad_columns.reshape(-1, k * k * channels), input_shape, k, k, stride, padding
+        )
+    flipped = weight.reshape(lead + (k, k, channels, filters))[..., ::-1, ::-1, :, :]
+    flipped = np.swapaxes(flipped, -1, -2).reshape(lead + (k * k * filters, channels))
+    columns, _ = im2col(grad_pre, k, k, 1, k - 1 - padding)
+    grad_input = np.matmul(columns.reshape(lead + (-1, k * k * filters)), flipped)
+    return grad_input.reshape(input_shape)
+
+
 class Conv2D(Layer):
-    """2-D convolution over NHWC tensors, implemented with im2col."""
+    """2-D convolution over NHWC tensors: im2col + one GEMM each way."""
 
     def __init__(
         self,
@@ -287,6 +332,11 @@ class Conv2D(Layer):
                 raise ConfigurationError(
                     "padding='same' is only supported with stride=1 in this implementation"
                 )
+            if self.kernel_size % 2 == 0:
+                raise ConfigurationError(
+                    f"padding='same' needs an odd kernel_size, got {self.kernel_size}: "
+                    "symmetric padding cannot preserve the spatial size of an even kernel"
+                )
             self._padding_amount = (self.kernel_size - 1) // 2
         else:
             self._padding_amount = 0
@@ -324,7 +374,9 @@ class Conv2D(Layer):
             self._cache_act = pre if self.activation.cache_input else out
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         self._require_built()
         if self._cache_columns is None:
             raise ModelNotBuiltError(
@@ -336,11 +388,12 @@ class Conv2D(Layer):
         self._grad_weight[...] = self._cache_columns.T @ grad_matrix
         if self.use_bias:
             self._grad_bias[...] = grad_matrix.sum(axis=0)
-        grad_columns = grad_matrix @ self.weight.T
-        return col2im(
-            grad_columns,
+        if not need_input_grad:
+            return None
+        return conv_input_gradient(
+            grad_pre,
+            self.weight,
             self._cache_input_shape,
-            self.kernel_size,
             self.kernel_size,
             self.stride,
             self._padding_amount,
@@ -653,7 +706,9 @@ class BatchNorm(Layer):
             self._cache = (normalized, inv_std, np.asarray(axes))
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         self._require_built()
         if self._cache is None:
             raise ModelNotBuiltError(
@@ -666,6 +721,8 @@ class BatchNorm(Layer):
             count *= grad_output.shape[axis]
         self._grad_gamma[...] = (grad_output * normalized).sum(axis=axes)
         self._grad_beta[...] = grad_output.sum(axis=axes)
+        if not need_input_grad:
+            return None
         grad_normalized = grad_output * self.gamma
         mean_grad = grad_normalized.mean(axis=axes)
         mean_grad_normalized = (grad_normalized * normalized).mean(axis=axes)
@@ -801,7 +858,11 @@ class DenseBlock(Layer):
             features = np.concatenate([features, new_features], axis=-1)
         return features
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        # Only the first unit's BatchNorm input gradient could be skipped, so
+        # the block always returns its input gradient.
         self._require_built()
         if not self._cache_inputs:
             raise ModelNotBuiltError(
@@ -917,7 +978,9 @@ class TransitionDown(Layer):
         convolved = self._conv.forward(activated, training)
         return self._pool.forward(convolved, training)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, need_input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         self._require_built()
         if self._cache_normalized is None:
             raise ModelNotBuiltError(
@@ -926,7 +989,7 @@ class TransitionDown(Layer):
         grad = self._pool.backward(grad_output)
         grad = self._conv.backward(grad)
         grad = grad * (self._cache_normalized > 0.0)
-        return self._norm.backward(grad)
+        return self._norm.backward(grad, need_input_grad)
 
     def parameters(self) -> List[np.ndarray]:
         self._require_built()

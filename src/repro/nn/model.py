@@ -31,6 +31,30 @@ from repro.nn.plane import ParameterPlane
 from repro.utils.rng import as_rng
 
 
+def first_trainable(layers: Sequence[Layer]) -> int:
+    """Index of the first layer with parameters (``len(layers)`` if none).
+
+    Training backpropagates down to this layer only: nothing reads the
+    gradient of the parameter-free layers before it.
+    """
+    return next(
+        (index for index, layer in enumerate(layers) if layer.parameter_refs()), len(layers)
+    )
+
+
+def backward_parameters(chain: Sequence, grad_output: np.ndarray) -> None:
+    """Backpropagate through ``chain`` (forward order) for parameter gradients.
+
+    The first element is not asked for its input gradient: no caller of a
+    training step reads it, and for a convolution it is a full GEMM.
+    """
+    grad = grad_output
+    for stage in reversed(chain[1:]):
+        grad = stage.backward(grad)
+    if chain:
+        chain[0].backward(grad, need_input_grad=False)
+
+
 class Sequential:
     """An ordered stack of layers trained with explicit backpropagation."""
 
@@ -41,6 +65,7 @@ class Sequential:
         self.input_shape: Optional[Tuple[int, ...]] = None
         self.output_shape: Optional[Tuple[int, ...]] = None
         self._plane: Optional[ParameterPlane] = None
+        self._trainable: List[Layer] = []
 
     # -- construction ------------------------------------------------------
 
@@ -60,6 +85,7 @@ class Sequential:
         # Consolidate all layer arrays into contiguous flat storage; from here
         # on the layers hold views into the plane's vectors.
         self._plane = ParameterPlane(self.layers, dtype=dtype)
+        self._trainable = self.layers[first_trainable(self.layers):]
         self.built = True
         return self
 
@@ -138,12 +164,15 @@ class Sequential:
         return np.concatenate(outputs, axis=0)
 
     def train_batch(self, x: np.ndarray, y: np.ndarray, loss: Optional[Loss] = None) -> float:
-        """One forward/backward pass on a mini-batch; gradients are left in the layers."""
+        """One forward/backward pass on a mini-batch; gradients are left in the layers.
+
+        Unlike :meth:`backward` it computes no input gradient for the model.
+        """
         self._require_built()
         loss = loss or SoftmaxCrossEntropy()
         outputs = self.forward(x, training=True)
         loss_value, grad = loss.gradient(outputs, y)
-        self.backward(grad)
+        backward_parameters(self._trainable, grad)
         return loss_value
 
     def evaluate(

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from helpers.parity import engine_tolerances
 from repro.exceptions import ConfigurationError, ModelNotBuiltError, ShapeError
+from repro.nn.functional import col2im, conv_output_size
 from repro.nn.layers import (
     Activation,
     AvgPool2D,
@@ -16,6 +18,7 @@ from repro.nn.layers import (
     GlobalAvgPool2D,
     MaxPool2D,
     TransitionDown,
+    conv_input_gradient,
 )
 
 
@@ -122,6 +125,17 @@ class TestConv2D:
         layer = build(Conv2D(2, kernel_size=2, stride=2, padding="valid"), (6, 6, 1))
         assert layer.output_shape == (3, 3, 2)
 
+    def test_stride_two_input_gradient(self):
+        # 6 is not 3 + a multiple of 2: the last row and column see no window.
+        layer = build(Conv2D(3, kernel_size=3, stride=2, padding="valid", activation="tanh"),
+                      (6, 6, 2))
+        check_input_gradient(layer, np.random.default_rng(5).normal(size=(2, 6, 6, 2)))
+
+    def test_one_by_one_input_gradient(self):
+        # The TransitionDown compression conv.
+        layer = build(Conv2D(3, kernel_size=1, padding="valid"), (4, 4, 5))
+        check_input_gradient(layer, np.random.default_rng(6).normal(size=(2, 4, 4, 5)))
+
     def test_forward_known_value(self):
         layer = build(Conv2D(1, kernel_size=2, padding="valid", use_bias=False), (2, 2, 1))
         layer.weight[...] = np.ones_like(layer.weight)
@@ -140,10 +154,91 @@ class TestConv2D:
         with pytest.raises(ConfigurationError):
             build(Conv2D(2, kernel_size=3, stride=2, padding="same"), (6, 6, 1))
 
+    @pytest.mark.parametrize("kernel_size", [2, 4])
+    def test_same_padding_with_even_kernel_rejected(self, kernel_size):
+        # (k-1)//2 padding would silently shrink 6x6 to 5x5.
+        with pytest.raises(ConfigurationError):
+            build(Conv2D(2, kernel_size=kernel_size, padding="same"), (6, 6, 1))
+
     def test_rejects_wrong_input_shape(self):
         layer = build(Conv2D(2, kernel_size=3), (6, 6, 1))
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((1, 6, 6, 2)))
+
+
+#: (kernel, padding mode, stride): every geometry Conv2D accepts for k ∈ {1, 3, 5}.
+CONV_GEOMETRIES = [
+    (kernel, padding, stride)
+    for kernel in (1, 3, 5)
+    for padding in ("same", "valid")
+    for stride in (1, 2)
+    if not (padding == "same" and stride != 1)
+]
+
+
+class TestConvInputGradient:
+    """``conv_input_gradient`` against the ``col2im`` fold of the patch gradient.
+
+    The GEMM sums the same products as the fold in another order, so values
+    are compared under the cross-engine tolerance built on
+    ``repro.backend.parity_tolerance`` (absolute slack scaled to the
+    gradient's magnitude), not bit for bit.
+    """
+
+    @staticmethod
+    def reference(grad_pre, weight, input_shape, kernel, stride, padding):
+        grad_columns = grad_pre.reshape(-1, weight.shape[1]) @ weight.T
+        return col2im(grad_columns, input_shape, kernel, kernel, stride, padding)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("channels,filters", [(1, 4), (3, 2), (4, 8)])
+    @pytest.mark.parametrize("kernel,padding_mode,stride", CONV_GEOMETRIES)
+    def test_matches_col2im_reference(
+        self, kernel, padding_mode, stride, channels, filters, dtype
+    ):
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + channels)
+        padding = (kernel - 1) // 2 if padding_mode == "same" else 0
+        input_shape = (2, 7, 6, channels)
+        out_h = conv_output_size(7, kernel, stride, padding)
+        out_w = conv_output_size(6, kernel, stride, padding)
+        grad_pre = rng.normal(size=(2, out_h, out_w, filters)).astype(dtype)
+        weight = rng.normal(size=(kernel * kernel * channels, filters)).astype(dtype)
+
+        got = conv_input_gradient(grad_pre, weight, input_shape, kernel, stride, padding)
+        want = self.reference(
+            grad_pre.astype(np.float64), weight.astype(np.float64),
+            input_shape, kernel, stride, padding,
+        )
+
+        assert got.dtype == dtype and got.shape == input_shape
+        tol = engine_tolerances(dtype)
+        np.testing.assert_allclose(
+            got, want, rtol=tol["rtol"], atol=tol["atol"] + tol["rtol"] * np.abs(want).max()
+        )
+
+    @pytest.mark.parametrize("kernel,padding_mode,stride", CONV_GEOMETRIES)
+    def test_stacked_workers_match_each_worker(self, kernel, padding_mode, stride):
+        # The batched engine folds K workers into the sample axis and passes
+        # the stacked (K, k·k·C, F) kernels; each worker's slice is its own
+        # sequential call, value for value.
+        rng = np.random.default_rng(kernel + stride)
+        padding = (kernel - 1) // 2 if padding_mode == "same" else 0
+        workers, batch, channels, filters = 3, 2, 3, 4
+        out = conv_output_size(6, kernel, stride, padding)
+        grad_pre = rng.normal(size=(workers * batch, out, out, filters))
+        weight = rng.normal(size=(workers, kernel * kernel * channels, filters))
+
+        stacked = conv_input_gradient(
+            grad_pre, weight, (workers * batch, 6, 6, channels), kernel, stride, padding
+        )
+        for k in range(workers):
+            rows = slice(k * batch, (k + 1) * batch)
+            np.testing.assert_array_equal(
+                stacked[rows],
+                conv_input_gradient(
+                    grad_pre[rows], weight[k], (batch, 6, 6, channels), kernel, stride, padding
+                ),
+            )
 
 
 class TestPooling:

@@ -117,3 +117,78 @@ class TestTrainingAndEvaluation:
         model = tiny_model()
         with pytest.raises(ShapeError):
             model.evaluate(np.zeros((3, 4)), np.zeros(2, dtype=int))
+
+
+def _models(name, seeds):
+    from repro.nn.architectures import vgg_mini
+
+    if name == "vgg_mini":
+        return [vgg_mini((8, 8, 1), num_classes=3, scale=0.5, seed=seed) for seed in seeds]
+    return [mlp(6, 3, hidden_units=(5, 4), seed=seed) for seed in seeds]
+
+
+def _inputs(model, batch, rng, workers=None):
+    lead = (batch,) if workers is None else (workers, batch)
+    x = rng.normal(size=lead + tuple(model.input_shape))
+    y = rng.integers(0, 3, size=lead)
+    return x, y
+
+
+class TestTrainBatchSkipsInputGradient:
+    """``train_batch`` computes no model input gradient; nothing else changes.
+
+    Its parameter gradients must be bit-identical to a full forward plus the
+    public ``backward``, which still returns the input gradient.
+    """
+
+    @pytest.mark.parametrize("name", ["vgg_mini", "mlp"])
+    def test_sequential_engine(self, name):
+        trained, reference = _models(name, [5, 5])
+        x, y = _inputs(trained, 4, np.random.default_rng(0))
+        loss = SoftmaxCrossEntropy()
+        trained.gradients_view()[...] = np.nan
+        reference.gradients_view()[...] = np.nan
+
+        trained.train_batch(x, y, loss)
+        _, grad = loss.gradient(reference.forward(x, training=True), y)
+        grad_input = reference.backward(grad)
+
+        assert grad_input.shape == x.shape
+        assert np.all(np.isfinite(grad_input))
+        np.testing.assert_array_equal(trained.get_gradients(), reference.get_gradients())
+
+    @pytest.mark.parametrize("name", ["vgg_mini", "mlp"])
+    def test_batched_engine(self, name):
+        from repro.nn.batched import BatchedModel, BatchedPlane
+
+        models = _models(name, [1, 2, 3])
+
+        def batched():
+            params = np.stack([model.get_parameters() for model in models])
+            grads = np.full_like(params, np.nan)
+            buffers = np.zeros((len(models), models[0].num_buffers))
+            return BatchedModel(models[0], BatchedPlane(models[0], params, grads, buffers))
+
+        trained, reference = batched(), batched()
+        x, y = _inputs(models[0], 4, np.random.default_rng(1), workers=len(models))
+        loss = SoftmaxCrossEntropy()
+
+        trained.train_batch(x, y, loss)
+        _, grad = loss.batched_gradient(reference.forward(x, training=True), y)
+        grad_input = reference.backward(grad)
+
+        assert grad_input.shape == x.shape
+        assert np.all(np.isfinite(trained.plane.grad_matrix))
+        np.testing.assert_array_equal(
+            trained.plane.grad_matrix, reference.plane.grad_matrix
+        )
+
+    def test_leading_parameter_free_layers_are_not_backpropagated(self):
+        from repro.nn.layers import Activation
+
+        model = Sequential([Activation("tanh"), Dense(3)]).build((4,), seed=0)
+        rng = np.random.default_rng(2)
+        x, y = rng.normal(size=(5, 4)), rng.integers(0, 3, size=5)
+        model.layers[0].backward = None  # would raise if called
+        model.train_batch(x, y)
+        assert np.all(np.isfinite(model.get_gradients()))
